@@ -114,30 +114,6 @@ func TestUserLogsBetween(t *testing.T) {
 	}
 }
 
-func TestKeyLogsBetweenAcrossUsers(t *testing.T) {
-	s := NewStore()
-	s.Append(mk(1, WiFiMAC, "router", time.Hour))
-	s.Append(mk(2, WiFiMAC, "router", 2*time.Hour))
-	s.Append(mk(3, WiFiMAC, "other", time.Hour))
-	got := s.KeyLogsBetween(Key{WiFiMAC, "router"}, t0, t0.Add(3*time.Hour))
-	if len(got) != 2 {
-		t.Fatalf("want 2 shared-router logs, got %d", len(got))
-	}
-}
-
-func TestKeysOfType(t *testing.T) {
-	s := NewStore()
-	s.Append(mk(1, IPv4, "a", 0))
-	s.Append(mk(1, IPv4, "b", 0))
-	s.Append(mk(1, GPS, "g", 0))
-	if n := len(s.KeysOfType(IPv4)); n != 2 {
-		t.Fatalf("want 2 IPv4 keys, got %d", n)
-	}
-	if n := len(s.Keys()); n != 3 {
-		t.Fatalf("want 3 keys total, got %d", n)
-	}
-}
-
 func TestScanBetweenGroupsByKey(t *testing.T) {
 	s := NewStore()
 	s.Append(mk(1, IPv4, "a", time.Hour))
@@ -229,6 +205,10 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				s.Append(mk(UserID(w), IPv4, "shared", time.Duration(i)*time.Minute))
 				_ = s.UserLogs(UserID(w))
 				_ = s.Len()
+				s.ScanBetween(t0, t0.Add(time.Duration(i)*time.Minute), func(Key, []Log) {})
+				if i%20 == 0 {
+					s.ForEachKey(func(_ Key, logs []Log) { logs[0].User = 0 }) // callers own their copy
+				}
 			}
 		}(w)
 	}

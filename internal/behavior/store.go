@@ -1,29 +1,58 @@
 package behavior
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
 
 // Store is a concurrency-safe in-memory behavior log store with two
-// indexes: by user (for feature computation) and by (type, value) key
-// (for BN edge construction). Logs are kept sorted by time within each
-// index, which the BN builder and sliding-window feature counters rely
-// on for range scans.
+// indexes: by user (for feature computation) and by event hour (for the
+// BN window jobs, which only need the logs inside their window). Logs
+// are kept sorted by time within each index, with equal timestamps in
+// insertion order, which the BN builder and sliding-window feature
+// counters rely on for range scans.
 type Store struct {
 	mu     sync.RWMutex
 	byUser map[UserID][]Log
-	byKey  map[Key][]Log
+	chunks []hourChunk // ascending by hour
 	count  int
+}
+
+// chunkWidth is the hour index's bucket width: the smallest window of
+// both the BN hierarchy and the statistical features.
+const chunkWidth = time.Hour
+
+// hourChunk holds every log whose time falls in one clock hour.
+type hourChunk struct {
+	hour int64 // hours since 1970, rounded down
+	logs []Log
+}
+
+// hourOf returns the chunk hour of t. Truncate rounds down, also before
+// 1970, and the Unix epoch is a whole number of hours past the zero time.
+func hourOf(t time.Time) int64 {
+	return t.Truncate(chunkWidth).Unix() / int64(chunkWidth/time.Second)
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		byUser: make(map[UserID][]Log),
-		byKey:  make(map[Key][]Log),
+	return &Store{byUser: make(map[UserID][]Log)}
+}
+
+// chunkIndex returns the index of the first chunk with hour ≥ h.
+func (s *Store) chunkIndex(h int64) int {
+	return sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].hour >= h })
+}
+
+// chunkFor returns the chunk of hour h, inserting an empty one if absent.
+func (s *Store) chunkFor(h int64) *hourChunk {
+	i := s.chunkIndex(h)
+	if i == len(s.chunks) || s.chunks[i].hour != h {
+		s.chunks = slices.Insert(s.chunks, i, hourChunk{hour: h})
 	}
+	return &s.chunks[i]
 }
 
 // Append adds one log to both indexes.
@@ -31,32 +60,40 @@ func (s *Store) Append(l Log) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.byUser[l.User] = insertSorted(s.byUser[l.User], l)
-	k := l.Key()
-	s.byKey[k] = insertSorted(s.byKey[k], l)
+	c := s.chunkFor(hourOf(l.Time))
+	c.logs = insertSorted(c.logs, l)
 	s.count++
 }
 
 // AppendBatch bulk-loads many logs: entries are appended to both indexes
 // and each touched slice is re-sorted once, which is far cheaper than
-// per-log sorted insertion for large loads.
+// per-log sorted insertion for large loads. The sort is stable, so equal
+// timestamps keep insertion order exactly as with Append.
 func (s *Store) AppendBatch(logs []Log) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	touchedUsers := make(map[UserID]struct{})
-	touchedKeys := make(map[Key]struct{})
+	byHour := make(map[int64][]Log)
 	for _, l := range logs {
 		s.byUser[l.User] = append(s.byUser[l.User], l)
-		k := l.Key()
-		s.byKey[k] = append(s.byKey[k], l)
 		touchedUsers[l.User] = struct{}{}
-		touchedKeys[k] = struct{}{}
+		h := hourOf(l.Time)
+		byHour[h] = append(byHour[h], l)
 	}
 	s.count += len(logs)
 	for u := range touchedUsers {
 		sortLogs(s.byUser[u])
 	}
-	for k := range touchedKeys {
-		sortLogs(s.byKey[k])
+	hours := make([]int64, 0, len(byHour))
+	for h := range byHour {
+		hours = append(hours, h)
+	}
+	// Ascending hours make every new chunk of an in-order load an append.
+	slices.Sort(hours)
+	for _, h := range hours {
+		c := s.chunkFor(h)
+		c.logs = append(c.logs, byHour[h]...)
+		sortLogs(c.logs)
 	}
 }
 
@@ -115,70 +152,76 @@ func (s *Store) UserLogs(u UserID) []Log {
 func (s *Store) UserLogsBetween(u UserID, from, to time.Time) []Log {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return rangeScan(s.byUser[u], from, to)
-}
-
-// KeyLogsBetween returns logs sharing key k with Time in [from, to).
-func (s *Store) KeyLogsBetween(k Key, from, to time.Time) []Log {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return rangeScan(s.byKey[k], from, to)
-}
-
-// Keys returns every distinct (type, value) key, unordered.
-func (s *Store) Keys() []Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ks := make([]Key, 0, len(s.byKey))
-	for k := range s.byKey {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
-// KeysOfType returns every distinct key of behavior type t.
-func (s *Store) KeysOfType(t Type) []Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ks []Key
-	for k := range s.byKey {
-		if k.Type == t {
-			ks = append(ks, k)
-		}
-	}
-	return ks
+	return append([]Log(nil), rangeOf(s.byUser[u], from, to)...)
 }
 
 // ForEachKey calls fn once per distinct (type, value) key with all of
-// that key's logs ordered by time. The slice must not be mutated.
-// Iteration order across keys is unspecified.
+// that key's logs ordered by time. Keys come in order of their first
+// log. fn runs on a copy, outside the store lock.
 func (s *Store) ForEachKey(fn func(k Key, logs []Log)) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for k, logs := range s.byKey {
-		fn(k, logs)
+	parts := make([][]Log, len(s.chunks))
+	for i, c := range s.chunks {
+		parts[i] = c.logs
+	}
+	keys, groups := groupByKey(parts)
+	s.mu.RUnlock()
+	for i, k := range keys {
+		fn(k, groups[i])
 	}
 }
 
 // ScanBetween calls fn for every log with Time in [from, to), grouped by
-// key; iteration order across keys is unspecified.
+// key, with keys in order of their first log in the range. Only the hour
+// chunks overlapping the range are visited; fn runs on a copy, outside
+// the store lock.
 func (s *Store) ScanBetween(from, to time.Time, fn func(k Key, logs []Log)) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for k, logs := range s.byKey {
-		if in := rangeScan(logs, from, to); len(in) > 0 {
-			fn(k, in)
+	lo, hi := s.chunkIndex(hourOf(from)), s.chunkIndex(hourOf(to)+1)
+	var parts [][]Log
+	for i := lo; i < hi; i++ {
+		logs := s.chunks[i].logs
+		if i == lo || i == hi-1 {
+			logs = rangeOf(logs, from, to)
 		}
+		parts = append(parts, logs)
+	}
+	keys, groups := groupByKey(parts)
+	s.mu.RUnlock()
+	for i, k := range keys {
+		fn(k, groups[i])
 	}
 }
 
-func rangeScan(logs []Log, from, to time.Time) []Log {
+// groupByKey copies the concatenation of parts into per-key slices:
+// keys in order of first appearance, each key's logs in the order given.
+func groupByKey(parts [][]Log) (keys []Key, groups [][]Log) {
+	slot := make(map[Key]int)
+	for _, p := range parts {
+		for _, l := range p {
+			k := l.Key()
+			i, ok := slot[k]
+			if !ok {
+				i = len(keys)
+				slot[k] = i
+				keys = append(keys, k)
+				groups = append(groups, nil)
+			}
+			groups[i] = append(groups[i], l)
+		}
+	}
+	return keys, groups
+}
+
+// rangeOf returns the sub-slice of time-sorted logs with Time in
+// [from, to), without copying.
+func rangeOf(logs []Log, from, to time.Time) []Log {
 	lo := sort.Search(len(logs), func(i int) bool { return !logs[i].Time.Before(from) })
 	hi := sort.Search(len(logs), func(i int) bool { return !logs[i].Time.Before(to) })
 	if lo >= hi {
 		return nil
 	}
-	return append([]Log(nil), logs[lo:hi]...)
+	return logs[lo:hi]
 }
 
 // Dump returns a full copy of the store's logs, grouped by user in
@@ -202,7 +245,7 @@ func (s *Store) Dump() []Log {
 }
 
 // DropBefore removes all logs older than cutoff and returns how many
-// were removed. It keeps the store bounded for long-running servers.
+// were removed.
 func (s *Store) DropBefore(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,14 +259,14 @@ func (s *Store) DropBefore(cutoff time.Time) int {
 			s.byUser[u] = kept
 		}
 	}
-	for k, logs := range s.byKey {
-		kept := dropOld(logs, cutoff)
-		if len(kept) == 0 {
-			delete(s.byKey, k)
-		} else {
-			s.byKey[k] = kept
+	kept := s.chunks[:0]
+	for _, c := range s.chunks {
+		if c.logs = dropOld(c.logs, cutoff); len(c.logs) > 0 {
+			kept = append(kept, c)
 		}
 	}
+	clear(s.chunks[len(kept):])
+	s.chunks = kept
 	s.count -= removed
 	return removed
 }

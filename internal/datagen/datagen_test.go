@@ -149,9 +149,12 @@ func TestRingMembersShareDeviceKeys(t *testing.T) {
 	store := d.Store()
 	// Map ring -> set of users seen per ring device key.
 	shared := 0
-	for _, k := range store.KeysOfType(behavior.DeviceID) {
+	store.ForEachKey(func(k behavior.Key, logs []behavior.Log) {
+		if k.Type != behavior.DeviceID {
+			return
+		}
 		users := map[behavior.UserID]bool{}
-		for _, l := range store.KeyLogsBetween(k, d.Start, d.End.Add(time.Hour)) {
+		for _, l := range logs {
 			users[l.User] = true
 		}
 		if len(users) >= 2 {
@@ -168,7 +171,7 @@ func TestRingMembersShareDeviceKeys(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	if shared == 0 {
 		t.Fatal("no ring-shared devices found")
 	}

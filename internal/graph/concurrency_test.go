@@ -88,6 +88,17 @@ func TestConcurrentMutationAndReads(t *testing.T) {
 				t.Errorf("snapshot inconsistent: %d edges listed, counter %d", len(s.Edges()), s.NumEdges())
 				return
 			}
+			// Adjacency is symmetric: every u→v half has its v→u half
+			// with the same weight.
+			for _, u := range s.Nodes() {
+				for typ := EdgeType(0); typ < 4; typ++ {
+					s.ForEachTypedNeighbor(u, typ, func(v NodeID, w float64) {
+						if back := s.EdgeWeight(typ, v, u); back != w {
+							t.Errorf("snapshot asymmetric: type %d %d→%d weight %v, %d→%d weight %v", typ, u, v, w, v, u, back)
+						}
+					})
+				}
+			}
 		}
 	}()
 

@@ -423,13 +423,20 @@ func (g *Graph) NormalizedWeight(t EdgeType, u, v NodeID) float64 {
 // undirected edges were dropped. Nodes whose adjacency becomes empty are
 // dropped from the per-shard adjacency index (reclaiming memory), but
 // stay in the registered-node set: isolated nodes remain registered.
+//
+// Prune write-locks every shard in index order (the order Snapshot
+// read-locks them), so a snapshot sees either none or all of a prune:
+// both halves of every cross-shard edge and the edge counters move
+// together.
 func (g *Graph) Prune(now time.Time) int {
 	dropped := 0
 	var expired [][2]NodeID // fired once per undirected edge, outside locks
 	observing := g.deltaObs.Load() != nil
 	for i := range g.shards {
+		g.shards[i].mu.Lock()
+	}
+	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.mu.Lock()
 		for u, na := range sh.adj {
 			empty := true
 			for t := 0; t < g.numTypes; t++ {
@@ -443,6 +450,7 @@ func (g *Graph) Prune(now time.Time) int {
 					if e.expireAt.Before(now) {
 						if u < e.to { // count each undirected edge once
 							dropped++
+							g.edgeCount.Add(-1)
 							g.edgesByType[t].Add(-1)
 							if observing {
 								expired = append(expired, [2]NodeID{u, e.to})
@@ -463,9 +471,10 @@ func (g *Graph) Prune(now time.Time) int {
 				delete(sh.adj, u)
 			}
 		}
-		sh.mu.Unlock()
 	}
-	g.edgeCount.Add(int64(-dropped))
+	for i := range g.shards {
+		g.shards[i].mu.Unlock()
+	}
 	for _, p := range expired {
 		g.notifyDelta(p[0], p[1])
 	}

@@ -42,9 +42,10 @@ type State struct {
 	// TxnUsers are users with a registered transaction (deposit-free
 	// application), the prediction-eligible set.
 	TxnUsers []behavior.UserID
-	// Logs is the full behavior store. Logs are retained only within the
-	// largest window's horizon (the store is pruned by DropBefore), so
-	// this stays proportional to the active window, not to history.
+	// Logs is the full behavior store: every ingested log, so this grows
+	// with history. Nothing prunes the store. Statistical features are
+	// cut at AppTime+24h, which can lie far behind the BN's window
+	// horizon, so dropping old logs would change scores.
 	Logs []behavior.Log
 }
 
