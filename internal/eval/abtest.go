@@ -125,7 +125,7 @@ func RunABTest(histCfg datagen.Config, h Hyper, seed uint64) ABTestResult {
 	if tp+fn > 0 {
 		res.OnlineRecall = float64(tp) / float64(tp+fn)
 	}
-	res.Latency = sys.PredictionServer().TotalLatency.Summarize()
+	res.Latency = metrics.SummarizeLog(sys.PredictionServer().TotalLatency)
 	return res
 }
 

@@ -38,17 +38,8 @@ type Batch struct {
 	typedMean    []*autodiff.CSR
 	gat          *gatStructure // GAT edge bookkeeping
 
-	// float32 serving caches: quantized features and CSR mirrors keyed by
-	// the float64 structure they shadow, built lazily by the Infer32 path.
-	x32       *tensor.Matrix32
-	csr32     map[*autodiff.CSR]*tensor.CSR32
-	nodeCol32 []int32 // gatStructure.nodeCol as int32
-
-	pooledInts    [][]int     // buffers borrowed from the tensor pools,
-	pooledFloats  [][]float64 // returned by Release
-	pooledInts32  [][]int32
-	pooledFloat32 [][]float32
-	pooledMat32   []*tensor.Matrix32
+	pooledInts   [][]int     // buffers borrowed from the tensor pools,
+	pooledFloats [][]float64 // returned by Release
 }
 
 // NewBatch compiles a subgraph and its node feature matrix. Adjacency
@@ -140,77 +131,10 @@ func (b *Batch) Release() {
 	for _, s := range b.pooledFloats {
 		tensor.PutFloats(s)
 	}
-	for _, s := range b.pooledInts32 {
-		tensor.PutInts32(s)
-	}
-	for _, s := range b.pooledFloat32 {
-		tensor.PutFloats32(s)
-	}
-	for _, m := range b.pooledMat32 {
-		tensor.PutMatrix32(m)
-	}
 	b.pooledInts, b.pooledFloats = nil, nil
-	b.pooledInts32, b.pooledFloat32, b.pooledMat32 = nil, nil, nil
 	b.merged, b.mergedBuilt = nil, false
 	b.mergedRW, b.mergedMean, b.mergedWeight = nil, nil, nil
 	b.typedMean, b.gat = nil, nil
-	b.x32, b.csr32, b.nodeCol32 = nil, nil, nil
-}
-
-// X32 returns the batch features quantized to float32, built on first
-// use from pooled storage.
-func (b *Batch) X32() *tensor.Matrix32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.x32 == nil {
-		b.x32 = tensor.GetMatrix32(b.X.Rows, b.X.Cols)
-		b.pooledMat32 = append(b.pooledMat32, b.x32)
-		tensor.QuantizeInto(b.x32, b.X)
-	}
-	return b.x32
-}
-
-// CSR32For returns the float32 mirror of a CSR obtained from this batch
-// (MergedRWCSR, TypedMeanCSR, …), converting and caching it on first
-// use. RowPtr is shared with the float64 structure; column indices and
-// weights come from pooled storage returned by Release.
-func (b *Batch) CSR32For(c *autodiff.CSR) *tensor.CSR32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.csr32 == nil {
-		b.csr32 = make(map[*autodiff.CSR]*tensor.CSR32)
-	}
-	if q := b.csr32[c]; q != nil {
-		return q
-	}
-	ci := tensor.GetInts32(len(c.ColIdx))
-	b.pooledInts32 = append(b.pooledInts32, ci)
-	for i, v := range c.ColIdx {
-		ci[i] = int32(v)
-	}
-	ws := tensor.GetFloats32(len(c.Weights))
-	b.pooledFloat32 = append(b.pooledFloat32, ws)
-	for i, v := range c.Weights {
-		ws[i] = float32(v)
-	}
-	q := &tensor.CSR32{NRows: c.NRows, NCols: c.NCols, RowPtr: c.RowPtr, ColIdx: ci, Weights: ws}
-	b.csr32[c] = q
-	return q
-}
-
-// gatNodeCol32 returns st.nodeCol widened to the int32 column type of
-// the f32 CSR kernels.
-func (b *Batch) gatNodeCol32(st *gatStructure) []int32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.nodeCol32 == nil {
-		b.nodeCol32 = tensor.GetInts32(len(st.nodeCol))
-		b.pooledInts32 = append(b.pooledInts32, b.nodeCol32)
-		for i, v := range st.nodeCol {
-			b.nodeCol32[i] = int32(v)
-		}
-	}
-	return b.nodeCol32
 }
 
 // normMode selects the row normalization of an aggregation matrix.

@@ -2,87 +2,13 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
+
+	"turbo/internal/telemetry"
 )
 
-// LatencyRecorder collects durations and reports the percentile summary
-// used throughout §V (p50/p99/p999) and Fig. 8a.
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
-
-// Record adds one sample.
-func (l *LatencyRecorder) Record(d time.Duration) {
-	l.mu.Lock()
-	l.samples = append(l.samples, d)
-	l.mu.Unlock()
-}
-
-// Time runs fn and records its wall-clock duration.
-func (l *LatencyRecorder) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	l.Record(d)
-	return d
-}
-
-// Count returns the number of samples.
-func (l *LatencyRecorder) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
-// Samples returns a copy of all recorded samples in arrival order.
-func (l *LatencyRecorder) Samples() []time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]time.Duration(nil), l.samples...)
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) by
-// nearest-rank on the sorted samples, or 0 with no samples.
-func (l *LatencyRecorder) Percentile(p float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.samples)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), l.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p/100*float64(n)+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return sorted[rank]
-}
-
-// Mean returns the average sample, or 0 with no samples.
-func (l *LatencyRecorder) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range l.samples {
-		total += d
-	}
-	return total / time.Duration(len(l.samples))
-}
-
-// Summary is the §V percentile digest.
+// Summary is the §V percentile digest (p50/p99/p999) used by the
+// online modules' latency reports and Fig. 8a.
 type Summary struct {
 	Count int
 	Mean  time.Duration
@@ -91,14 +17,17 @@ type Summary struct {
 	P999  time.Duration
 }
 
-// Summarize computes the digest.
-func (l *LatencyRecorder) Summarize() Summary {
+// SummarizeLog computes the digest of a log-bucketed histogram from one
+// snapshot. Each percentile is the upper bound of its bucket, so it
+// reads at most one bucket width (≈6%) above the exact order statistic.
+func SummarizeLog(h *telemetry.LogHistogram) Summary {
+	s := h.Snapshot()
 	return Summary{
-		Count: l.Count(),
-		Mean:  l.Mean(),
-		P50:   l.Percentile(50),
-		P99:   l.Percentile(99),
-		P999:  l.Percentile(99.9),
+		Count: int(s.Count()),
+		Mean:  s.Mean(),
+		P50:   s.Quantile(0.50),
+		P99:   s.Quantile(0.99),
+		P999:  s.Quantile(0.999),
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
+	"turbo/internal/telemetry"
 	"turbo/internal/tensor"
 )
 
@@ -132,47 +132,9 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestLatencyPercentiles(t *testing.T) {
-	l := NewLatencyRecorder()
-	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
-	}
-	if p := l.Percentile(50); p != 50*time.Millisecond {
-		t.Fatalf("p50 %v", p)
-	}
-	if p := l.Percentile(99); p != 99*time.Millisecond {
-		t.Fatalf("p99 %v", p)
-	}
-	if p := l.Percentile(100); p != 100*time.Millisecond {
-		t.Fatalf("p100 %v", p)
-	}
-	if m := l.Mean(); m != 50500*time.Microsecond {
-		t.Fatalf("mean %v", m)
-	}
-}
-
-func TestLatencyEmpty(t *testing.T) {
-	l := NewLatencyRecorder()
-	if l.Percentile(50) != 0 || l.Mean() != 0 || l.Count() != 0 {
-		t.Fatal("empty recorder should return zeros")
-	}
-}
-
-func TestLatencyTimeAndSummary(t *testing.T) {
-	l := NewLatencyRecorder()
-	d := l.Time(func() { time.Sleep(time.Millisecond) })
-	if d < time.Millisecond {
-		t.Fatalf("timed duration %v", d)
-	}
-	s := l.Summarize()
-	if s.Count != 1 || s.P50 == 0 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
-	}
-	if len(l.Samples()) != 1 {
-		t.Fatal("samples copy wrong")
+func TestSummarizeLogEmpty(t *testing.T) {
+	if s := SummarizeLog(telemetry.NewLogHistogram()); s != (Summary{}) {
+		t.Fatalf("empty histogram summary %+v, want zeros", s)
 	}
 }
 

@@ -9,7 +9,6 @@ package nn
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"turbo/internal/autodiff"
 	"turbo/internal/tensor"
@@ -20,12 +19,6 @@ type Parameter struct {
 	Name  string
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
-
-	// v32 caches the float32 quantization of Value for the opt-in f32
-	// serving path. Anything that mutates Value (optimizer steps,
-	// LoadState) must call InvalidateQuant. Unexported, so gob-based
-	// serialization never sees it.
-	v32 atomic.Pointer[tensor.Matrix32]
 }
 
 // NewParameter allocates a parameter around an initialized value.
@@ -40,33 +33,6 @@ func (p *Parameter) Node(t *autodiff.Tape) *autodiff.Node {
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
-
-// Value32 returns the float32 quantization of Value, computing and
-// caching it on first use. The cached matrix must be treated as
-// read-only; it is replaced wholesale on invalidation. Safe for
-// concurrent readers.
-func (p *Parameter) Value32() *tensor.Matrix32 {
-	if q := p.v32.Load(); q != nil {
-		return q
-	}
-	q := tensor.Quantize(p.Value)
-	p.v32.Store(q)
-	return q
-}
-
-// SetValue32 installs a pre-quantized value (e.g. loaded from a model
-// artifact) as the f32 cache, validating its shape against Value.
-func (p *Parameter) SetValue32(q *tensor.Matrix32) error {
-	if q.Rows != p.Value.Rows || q.Cols != p.Value.Cols {
-		return fmt.Errorf("nn: %s f32 shape mismatch: %dx%d vs %dx%d",
-			p.Name, q.Rows, q.Cols, p.Value.Rows, p.Value.Cols)
-	}
-	p.v32.Store(q)
-	return nil
-}
-
-// InvalidateQuant drops the cached float32 value after Value changed.
-func (p *Parameter) InvalidateQuant() { p.v32.Store(nil) }
 
 // Module is anything exposing trainable parameters.
 type Module interface {
@@ -153,22 +119,6 @@ func (a Activation) ApplyInPlace(m *tensor.Matrix) *tensor.Matrix {
 		return tensor.TanhInPlace(m)
 	case ActSigmoid:
 		return tensor.SigmoidInPlace(m)
-	default:
-		return m
-	}
-}
-
-// Apply32InPlace is the float32 serving form of ApplyInPlace; tanh and
-// sigmoid use the fast float32 approximations, so it is
-// tolerance-equivalent (not bitwise) to the float64 path.
-func (a Activation) Apply32InPlace(m *tensor.Matrix32) *tensor.Matrix32 {
-	switch a {
-	case ActReLU:
-		return tensor.ReLU32InPlace(m)
-	case ActTanh:
-		return tensor.Tanh32InPlace(m)
-	case ActSigmoid:
-		return tensor.Sigmoid32InPlace(m)
 	default:
 		return m
 	}

@@ -34,7 +34,6 @@ func (o *SGD) Step() {
 			}
 			p.Value.Data[i] -= o.LR * g
 		}
-		p.InvalidateQuant()
 	}
 	o.ZeroGrad()
 }
@@ -89,7 +88,6 @@ func (o *Adam) Step() {
 			vh := v.Data[i] / bc2
 			p.Value.Data[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
 		}
-		p.InvalidateQuant()
 	}
 	o.ZeroGrad()
 }

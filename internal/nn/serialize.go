@@ -51,7 +51,6 @@ func LoadState(r io.Reader, m Module) error {
 				e.Name, e.Rows, e.Cols, p.Value.Rows, p.Value.Cols)
 		}
 		copy(p.Value.Data, e.Data)
-		p.InvalidateQuant()
 		p.Grad.Zero()
 	}
 	return nil

@@ -20,7 +20,6 @@ import (
 	"turbo/internal/gnn"
 	"turbo/internal/hag"
 	"turbo/internal/nn"
-	"turbo/internal/tensor"
 )
 
 // ErrNoArtifact is returned by LoadLatest when the model directory holds
@@ -91,7 +90,9 @@ type LoadedModel struct {
 // artifactBlob is the gob-encoded payload of a model artifact. Weights
 // holds nn.SaveState bytes (gob of name+shape-tagged float64 matrices),
 // so a reload is an exact float64 round-trip: scores after load are
-// bitwise identical to scores before save.
+// bitwise identical to scores before save. Older artifacts also carry
+// a WeightsF32 copy of every weight; gob skips fields this struct
+// lacks, so they still load (TestModelStoreLoadsF32EraArtifact).
 type artifactBlob struct {
 	Kind       string
 	ConfigJSON []byte
@@ -101,51 +102,6 @@ type artifactBlob struct {
 	LRWeights  []float64
 	LRBias     float64
 	Weights    []byte
-	// WeightsF32 is the float32 quantization of every parameter,
-	// concatenated flat in Parameters() order. It pins the f32 serving
-	// weights at save time; loaders seed the parameters' quantized caches
-	// from it. Absent (nil) in pre-f32 artifacts — gob tolerates the
-	// missing field and the caches then quantize lazily, which yields the
-	// identical float32 values since the float64 round-trip is exact.
-	WeightsF32 []float32
-}
-
-// quantizeParams flattens the float32 quantization of m's parameters in
-// Parameters() order.
-func quantizeParams(m gnn.Model) []float32 {
-	var n int
-	for _, p := range m.Parameters() {
-		n += len(p.Value.Data)
-	}
-	out := make([]float32, 0, n)
-	for _, p := range m.Parameters() {
-		q := tensor.Quantize(p.Value)
-		out = append(out, q.Data...)
-	}
-	return out
-}
-
-// seedQuantized installs an artifact's flat float32 weights as the
-// parameters' quantized caches. A size mismatch abandons seeding (the
-// caches fall back to lazy quantization) rather than failing the load.
-func seedQuantized(m gnn.Model, flat []float32) error {
-	off := 0
-	for _, p := range m.Parameters() {
-		n := len(p.Value.Data)
-		if off+n > len(flat) {
-			return fmt.Errorf("persist: f32 weights truncated at %s", p.Name)
-		}
-		q := tensor.New32(p.Value.Rows, p.Value.Cols)
-		copy(q.Data, flat[off:off+n])
-		if err := p.SetValue32(q); err != nil {
-			return err
-		}
-		off += n
-	}
-	if off != len(flat) {
-		return fmt.Errorf("persist: %d trailing f32 weights", len(flat)-off)
-	}
-	return nil
 }
 
 const (
@@ -285,7 +241,6 @@ func (s *ModelStore) SaveStatus(model gnn.Model, ex Extras, status string, reaso
 		NormMean:   ex.NormMean,
 		NormStd:    ex.NormStd,
 		Weights:    weights.Bytes(),
-		WeightsF32: quantizeParams(model),
 	}
 	if ex.Fallback != nil {
 		blob.HasLR = true
@@ -439,11 +394,6 @@ func (s *ModelStore) load(version int) (*LoadedModel, error) {
 	}
 	if err := nn.LoadState(bytes.NewReader(blob.Weights), model); err != nil {
 		return nil, fmt.Errorf("persist: %s: %w", filepath.Base(path), err)
-	}
-	if blob.WeightsF32 != nil {
-		if err := seedQuantized(model, blob.WeightsF32); err != nil {
-			s.logf("persist: %s: %v (f32 caches will quantize lazily)", filepath.Base(path), err)
-		}
 	}
 	lm := &LoadedModel{
 		Model:    model,

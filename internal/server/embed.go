@@ -128,7 +128,7 @@ func (e *EmbedEngine) TryPredict(u behavior.UserID, model gnn.Model, threshold f
 		return Prediction{}, false
 	}
 	lat := time.Since(t0)
-	e.pred.PredictLatency.Record(lat)
+	e.pred.PredictLatency.Observe(lat)
 	e.pred.Tel.ObserveStage(StageScore, lat)
 	return Prediction{
 		User:           u,

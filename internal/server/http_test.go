@@ -13,6 +13,7 @@ import (
 
 	"turbo/internal/persist"
 	"turbo/internal/resilience"
+	"turbo/internal/telemetry"
 )
 
 func newTestAPI(t *testing.T) *API {
@@ -185,6 +186,59 @@ func TestHTTPLatencyDigest(t *testing.T) {
 	for _, key := range []string{"sampling", "features", "predict", "total"} {
 		if out[key]["count"].(float64) < 1 {
 			t.Fatalf("digest %q empty: %v", key, out[key])
+		}
+	}
+}
+
+// TestHTTPLatencyPercentilesWithinBucket records a known spread of
+// durations into every /latency digest and checks the served p50 and
+// p99 against the exact nearest-rank values: each must land within one
+// log-histogram bucket, whose width is at most 1/16 of the value.
+func TestHTTPLatencyPercentilesWithinBucket(t *testing.T) {
+	api := newTestAPI(t)
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+
+	// 10µs, 20µs, …, 10ms, recorded in a scrambled order (7 is coprime
+	// to 1000, so k ↦ 7k mod 1000 visits every step once).
+	const n = 1000
+	for _, h := range []*telemetry.LogHistogram{
+		api.Pred.bn.SamplingLatency, api.Pred.FeatureLatency,
+		api.Pred.PredictLatency, api.Pred.TotalLatency,
+	} {
+		for k := 0; k < n; k++ {
+			h.Observe(time.Duration(7*k%n+1) * 10 * time.Microsecond)
+		}
+	}
+	wantP50 := 500 * 10 * time.Microsecond // 500th of 1000
+	wantP99 := 990 * 10 * time.Microsecond // 990th of 1000
+
+	resp, err := http.Get(srv.URL + "/latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"sampling", "features", "predict", "total"} {
+		d := out[key]
+		if c := d["count"].(float64); c != n {
+			t.Fatalf("%s: count %v, want %d", key, c, n)
+		}
+		for _, q := range []struct {
+			field string
+			want  time.Duration
+		}{{"p50_ns", wantP50}, {"p99_ns", wantP99}} {
+			got := time.Duration(d[q.field].(float64))
+			diff := got - q.want
+			if diff < 0 {
+				diff = -diff
+			}
+			if diff > q.want/16 {
+				t.Fatalf("%s %s = %v, want %v within one bucket (%v)", key, q.field, got, q.want, q.want/16)
+			}
 		}
 	}
 }

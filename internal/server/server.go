@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"runtime"
 	"sort"
 	"sync"
@@ -88,7 +87,7 @@ type BNServer struct {
 
 	SampleHops      int
 	MaxNeighbors    int
-	SamplingLatency *metrics.LatencyRecorder
+	SamplingLatency *telemetry.LogHistogram
 }
 
 // NewBNServer builds a BN server anchored at t0.
@@ -106,7 +105,7 @@ func NewBNServer(cfg bn.Config, t0 time.Time) (*BNServer, error) {
 		hasTxn:          make(map[behavior.UserID]bool),
 		SampleHops:      2,
 		MaxNeighbors:    32,
-		SamplingLatency: metrics.NewLatencyRecorder(),
+		SamplingLatency: telemetry.NewLogHistogram(),
 	}
 	s.snap.Store(g.Snapshot())
 	s.snapPublished.Store(time.Now().UnixNano())
@@ -434,19 +433,18 @@ func (s *BNServer) TxnFilter() func(graph.NodeID) bool {
 // When u is in the current snapshot (the steady state), sampling walks
 // the immutable epoch and performs zero graph mutex acquisitions.
 func (s *BNServer) Sample(u behavior.UserID) *graph.Subgraph {
-	var sg *graph.Subgraph
-	s.SamplingLatency.Time(func() {
-		filter := s.TxnFilter()
-		view := s.View(u)
-		if s.viewWrap != nil {
-			view = s.viewWrap(view)
-		}
-		sg = view.Sample(graph.NodeID(u), graph.SampleOptions{
-			Hops:         s.SampleHops,
-			MaxNeighbors: s.MaxNeighbors,
-			Filter:       filter,
-		})
+	start := time.Now()
+	filter := s.TxnFilter()
+	view := s.View(u)
+	if s.viewWrap != nil {
+		view = s.viewWrap(view)
+	}
+	sg := view.Sample(graph.NodeID(u), graph.SampleOptions{
+		Hops:         s.SampleHops,
+		MaxNeighbors: s.MaxNeighbors,
+		Filter:       filter,
 	})
+	s.SamplingLatency.Observe(time.Since(start))
 	return sg
 }
 
@@ -605,15 +603,11 @@ type PredictionServer struct {
 	// all audits, exposed as turbo_feature_fanout_inflight.
 	fanoutInFlight atomic.Int64
 
-	// f32Enabled flips the opt-in float32 scoring path; f32Gate is the
-	// per-model tolerance validation ConfigureF32 installed, re-run on
-	// every SwapModel. Gate failure falls the server back to float64.
-	f32Enabled atomic.Bool
-	f32Gate    func(m gnn.Model) (maxDelta float64, ok bool)
-
-	FeatureLatency *metrics.LatencyRecorder
-	PredictLatency *metrics.LatencyRecorder
-	TotalLatency   *metrics.LatencyRecorder
+	// §V per-module latency digests (LatencySummaries, /latency):
+	// constant-memory log histograms, lock-free to record.
+	FeatureLatency *telemetry.LogHistogram
+	PredictLatency *telemetry.LogHistogram
+	TotalLatency   *telemetry.LogHistogram
 }
 
 // NewPredictionServer wires the three online modules together with the
@@ -639,9 +633,9 @@ func NewPredictionServer(bnServer *BNServer, feats feature.Source, model gnn.Mod
 		Served:         metrics.NewCounterSetVec(tel.Outcomes()),
 		Tel:            tel,
 		last:           make(map[behavior.UserID]float64),
-		FeatureLatency: metrics.NewLatencyRecorder(),
-		PredictLatency: metrics.NewLatencyRecorder(),
-		TotalLatency:   metrics.NewLatencyRecorder(),
+		FeatureLatency: telemetry.NewLogHistogram(),
+		PredictLatency: telemetry.NewLogHistogram(),
+		TotalLatency:   telemetry.NewLogHistogram(),
 	}
 	tel.RegisterBreakerGauge(func() float64 {
 		if p.Breaker == nil {
@@ -702,15 +696,11 @@ func (p *PredictionServer) fanoutWorkerCount(n int) int {
 }
 
 // SwapModel atomically replaces the serving model and normalizer (the
-// model management module calls this after each offline retrain). When
-// the float32 path was configured, the new model is re-validated against
-// the tolerance gate and f32 serving is disabled if it fails — a model
-// that quantizes badly must not serve quantized.
+// model management module calls this after each offline retrain).
 func (p *PredictionServer) SwapModel(m gnn.Model, normalizer func([]float64) []float64) {
 	p.mu.Lock()
 	p.model = m
 	p.Normalizer = normalizer
-	gate := p.f32Gate
 	p.mu.Unlock()
 	// Every swap retires the previous model's cached scores and moves the
 	// version tag to a never-before-used value; the model manager pins
@@ -720,36 +710,7 @@ func (p *PredictionServer) SwapModel(m gnn.Model, normalizer func([]float64) []f
 	p.lastVersion = p.maxVersion
 	p.last = make(map[behavior.UserID]float64)
 	p.lastMu.Unlock()
-	if gate != nil {
-		maxDelta, ok := gate(m)
-		p.f32Enabled.Store(ok)
-		if !ok {
-			log.Printf("server: f32 gate failed on swapped model %s (max delta %.3g), serving float64", m.Name(), maxDelta)
-		}
-	}
 }
-
-// ConfigureF32 installs the float32 tolerance gate (typically a closure
-// over gnn.ValidateF32 and a held-out validation batch) and runs it
-// against the current model, enabling float32 scoring when it passes.
-// It returns the gate's verdict. A nil validate disables the path.
-func (p *PredictionServer) ConfigureF32(validate func(m gnn.Model) (maxDelta float64, ok bool)) (float64, bool) {
-	p.mu.Lock()
-	p.f32Gate = validate
-	m := p.model
-	p.mu.Unlock()
-	if validate == nil || m == nil {
-		p.f32Enabled.Store(false)
-		return 0, false
-	}
-	maxDelta, ok := validate(m)
-	p.f32Enabled.Store(ok)
-	return maxDelta, ok
-}
-
-// F32Enabled reports whether audits currently score through the float32
-// path.
-func (p *PredictionServer) F32Enabled() bool { return p.f32Enabled.Load() }
 
 // SetFeatureSource replaces the feature source (the fault injector wraps
 // the real service through this).
@@ -927,7 +888,7 @@ func (p *PredictionServer) PredictCtx(ctx context.Context, u behavior.UserID, at
 // computed scores, remembers the result for tier 3.
 func (p *PredictionServer) finish(pred *Prediction, u behavior.UserID, start time.Time, remember bool) {
 	pred.TotalLatency = time.Since(start)
-	p.TotalLatency.Record(pred.TotalLatency)
+	p.TotalLatency.Observe(pred.TotalLatency)
 	p.Tel.ObserveStage(StageTotal, pred.TotalLatency)
 	p.Served.Inc(pred.ServedBy)
 	if pred.Degraded {
@@ -1104,41 +1065,27 @@ func (p *PredictionServer) predictFull(ctx context.Context, feats feature.Source
 		defer cancel()
 	}
 	n := sg.NumNodes()
-	var x *tensor.Matrix
-	var ferr error
-	p.FeatureLatency.Time(func() {
-		x, ferr = p.fanoutFeatures(fctx, feats, normalizer, sg, u, at)
-	})
+	x, ferr := p.fanoutFeatures(fctx, feats, normalizer, sg, u, at)
 	featDone := time.Now()
+	p.FeatureLatency.Observe(featDone.Sub(sampleDone))
 	trace.AddSpan(StageFeature, sampleDone, featDone.Sub(sampleDone), telemetry.Outcome(ferr))
 	p.Tel.ObserveStage(StageFeature, featDone.Sub(sampleDone))
 	if ferr != nil {
 		return Prediction{}, ferr
 	}
 
-	var prob float64
-	var serr error
-	p.PredictLatency.Time(func() {
-		scx := ctx
-		if p.Deadlines.Score > 0 {
-			var cancel context.CancelFunc
-			scx, cancel = context.WithTimeout(ctx, p.Deadlines.Score)
-			defer cancel()
-		}
-		batch := gnn.NewBatch(sg, x)
-		scored := false
-		if p.f32Enabled.Load() {
-			if serr = scx.Err(); serr == nil {
-				prob, scored = gnn.Score32(model, batch)
-			}
-		}
-		if serr == nil && !scored {
-			prob, serr = gnn.ScoreCtx(scx, model, batch)
-		}
-		batch.Release()
-		tensor.PutMatrix(x)
-	})
+	scx := ctx
+	if p.Deadlines.Score > 0 {
+		var cancel context.CancelFunc
+		scx, cancel = context.WithTimeout(ctx, p.Deadlines.Score)
+		defer cancel()
+	}
+	batch := gnn.NewBatch(sg, x)
+	prob, serr := gnn.ScoreCtx(scx, model, batch)
+	batch.Release()
+	tensor.PutMatrix(x)
 	end := time.Now()
+	p.PredictLatency.Observe(end.Sub(featDone))
 	trace.AddSpan(StageScore, featDone, end.Sub(featDone), telemetry.Outcome(serr))
 	p.Tel.ObserveStage(StageScore, end.Sub(featDone))
 	if serr != nil {
@@ -1227,9 +1174,9 @@ func (p *PredictionServer) predictStatic(u behavior.UserID) Prediction {
 // plus the end-to-end pipeline.
 func (p *PredictionServer) LatencySummaries() map[string]metrics.Summary {
 	return map[string]metrics.Summary{
-		"sampling": p.bn.SamplingLatency.Summarize(),
-		"features": p.FeatureLatency.Summarize(),
-		"predict":  p.PredictLatency.Summarize(),
-		"total":    p.TotalLatency.Summarize(),
+		"sampling": metrics.SummarizeLog(p.bn.SamplingLatency),
+		"features": metrics.SummarizeLog(p.FeatureLatency),
+		"predict":  metrics.SummarizeLog(p.PredictLatency),
+		"total":    metrics.SummarizeLog(p.TotalLatency),
 	}
 }

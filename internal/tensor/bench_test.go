@@ -109,15 +109,13 @@ func reportGFLOPS(b *testing.B, m, k, n int) {
 }
 
 // BenchmarkMatMulKernels is the kernel grid: square sizes × {serial
-// naive, blocked serial, blocked+pool} × {f64, f32}. scripts/bench.sh
-// turns this into BENCH_kernels.json.
+// naive, blocked serial, blocked+pool}. scripts/bench.sh turns this
+// into BENCH_kernels.json.
 func BenchmarkMatMulKernels(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
 		a := benchMatrix(n, n, uint64(71+n))
 		bb := benchMatrix(n, n, uint64(73+n))
 		dst := New(n, n)
-		a32, b32 := Quantize(a), Quantize(bb)
-		dst32 := New32(n, n)
 
 		b.Run(fmt.Sprintf("n=%d/f64/serial-naive", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -135,21 +133,6 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/f64/blocked-pool", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulInto(dst, a, bb)
-			}
-			reportGFLOPS(b, n, n, n)
-		})
-		b.Run(fmt.Sprintf("n=%d/f32/blocked-serial", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dst32.Zero()
-				for r := 0; r < n; r++ {
-					sgemmRow(dst32.Row(r), a32.Row(r), b32.Data, n)
-				}
-			}
-			reportGFLOPS(b, n, n, n)
-		})
-		b.Run(fmt.Sprintf("n=%d/f32/blocked-pool", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMul32Into(dst32, a32, b32)
 			}
 			reportGFLOPS(b, n, n, n)
 		})

@@ -1,27 +1,18 @@
 package tensor
 
-// Low-level kernel dispatch. Each kernel has a portable Go
-// implementation and, on amd64 with AVX2+FMA, a vector one; simdEnabled
-// is resolved once at init from CPUID (see kernels_amd64.go).
+// Low-level kernel dispatch. daxpy has a portable Go implementation
+// and, on amd64 with AVX2, a vector one; simdEnabled is resolved once
+// at init from CPUID (see kernels_amd64.go).
 //
-// Precision contract:
-//   - float64 kernels are bitwise-identical to the scalar loops they
-//     replace. daxpy performs round(round(a*s[j]) + d[j]) per element —
-//     the AVX2 version uses separate VMULPD/VADDPD (never FMA), which
-//     rounds exactly like the Go `d[j] += a * s[j]` it mirrors, and
-//     element order never changes.
-//   - float32 kernels are *not* bitwise-pinned: the AVX2 versions use
-//     FMA and the serving path that consumes them is gated by an
-//     explicit |Δlogit| tolerance (see DESIGN.md §13).
+// Precision contract: daxpy is bitwise-identical to the scalar loop it
+// replaces. It performs round(round(a*s[j]) + d[j]) per element — the
+// AVX2 version uses separate VMULPD/VADDPD (never FMA), which rounds
+// exactly like the Go `d[j] += a * s[j]` it mirrors, and element order
+// never changes.
 
-// simdEnabled reports whether the AVX2+FMA kernels are in use. It is a
-// variable (not const) so tests can force the portable path.
+// simdEnabled reports whether the AVX2 kernel is in use; init sets it
+// once on amd64.
 var simdEnabled = false
-
-// SIMDEnabled reports whether the vector kernels are active, so callers
-// can pick layouts that only pay off under them (e.g. padding operands
-// to full vector tiles).
-func SIMDEnabled() bool { return simdEnabled }
 
 // daxpy computes dst[j] += alpha*src[j] for j in [0, len(dst)).
 // len(src) must be >= len(dst). Bitwise-identical on every platform.
@@ -33,112 +24,5 @@ func daxpy(dst, src []float64, alpha float64) {
 	}
 	for j := range dst {
 		dst[j] += alpha * src[j]
-	}
-}
-
-// saxpy is the float32 counterpart of daxpy. The AVX2 version uses FMA,
-// so results may differ from the portable loop in the last ulp.
-func saxpy(dst, src []float32, alpha float32) {
-	if simdEnabled && len(dst) >= 8 {
-		m := len(dst) &^ 7
-		saxpyAVX2(dst[:m], src[:m], alpha)
-		dst, src = dst[m:], src[m:]
-	}
-	for j := range dst {
-		dst[j] += alpha * src[j]
-	}
-}
-
-// sgemmRow accumulates one dense output row: drow[j] += Σ_k arow[k] *
-// b[k*ldb+j]. The row stays resident in registers across the whole k
-// loop in the AVX2 kernels (32/16/8-column tiles), so each k step costs
-// one broadcast plus n/8 FMAs with no intermediate stores.
-func sgemmRow(drow, arow, b []float32, ldb int) {
-	n := len(drow)
-	if len(arow) == 0 || n == 0 {
-		return
-	}
-	j := 0
-	if simdEnabled {
-		for ; j+32 <= n; j += 32 {
-			sgemmRowJ32(drow[j:j+32], arow, b[j:], ldb)
-		}
-		if j+16 <= n {
-			sgemmRowJ16(drow[j:j+16], arow, b[j:], ldb)
-			j += 16
-		}
-		if j+8 <= n {
-			sgemmRowJ8(drow[j:j+8], arow, b[j:], ldb)
-			j += 8
-		}
-	}
-	if j < n {
-		sgemmRowGeneric(drow[j:], arow, b[j:], ldb)
-	}
-}
-
-// sgemmRows4 accumulates four consecutive output rows (row stride ldd
-// in d, lda in a, k inner terms) against b, column-tiled like sgemmRow:
-// 16- then 8-wide vector tiles, generic per-row tail under 8 columns.
-// Caller must ensure simdEnabled and that all four rows exist.
-func sgemmRows4(d []float32, ldd int, a []float32, lda, k, n int, b []float32, ldb int) {
-	j := 0
-	for ; j+16 <= n; j += 16 {
-		sgemmRows4J16(d[j:], ldd, a, lda, k, b[j:], ldb)
-	}
-	if j+8 <= n {
-		sgemmRows4J8(d[j:], ldd, a, lda, k, b[j:], ldb)
-		j += 8
-	}
-	if j < n {
-		for r := 0; r < 4; r++ {
-			sgemmRowGeneric(d[r*ldd+j:r*ldd+n], a[r*lda:r*lda+k], b[j:], ldb)
-		}
-	}
-}
-
-func sgemmRowGeneric(drow, arow, b []float32, ldb int) {
-	for k, av := range arow {
-		brow := b[k*ldb:]
-		for j := range drow {
-			drow[j] += av * brow[j]
-		}
-	}
-}
-
-// csrRow accumulates one sparse-aggregated row: drow[j] += Σ_p w[p] *
-// h[cols[p]*ldh + j]. Same register-resident tiling as sgemmRow, with a
-// gathered source row per nonzero.
-func csrRow(drow []float32, cols []int32, w, h []float32, ldh int) {
-	n := len(drow)
-	if len(cols) == 0 || n == 0 {
-		return
-	}
-	j := 0
-	if simdEnabled {
-		for ; j+32 <= n; j += 32 {
-			csrRowJ32(drow[j:j+32], cols, w, h[j:], ldh)
-		}
-		if j+16 <= n {
-			csrRowJ16(drow[j:j+16], cols, w, h[j:], ldh)
-			j += 16
-		}
-		if j+8 <= n {
-			csrRowJ8(drow[j:j+8], cols, w, h[j:], ldh)
-			j += 8
-		}
-	}
-	if j < n {
-		csrRowGeneric(drow[j:], cols, w, h[j:], ldh)
-	}
-}
-
-func csrRowGeneric(drow []float32, cols []int32, w, h []float32, ldh int) {
-	for p, c := range cols {
-		wp := w[p]
-		hrow := h[int(c)*ldh:]
-		for j := range drow {
-			drow[j] += wp * hrow[j]
-		}
 	}
 }

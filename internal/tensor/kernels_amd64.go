@@ -2,30 +2,24 @@
 
 package tensor
 
-import "os"
-
 // CPUID feature detection, hand-rolled so the package stays
-// dependency-free. The vector kernels need AVX2 and FMA3, and the OS
-// must have enabled YMM state saving (OSXSAVE + XCR0 bits 1|2).
+// dependency-free. The vector kernel needs AVX2, and the OS must have
+// enabled YMM state saving (OSXSAVE + XCR0 bits 1|2).
 
 func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 func init() {
-	if os.Getenv("TURBO_NOSIMD") != "" {
-		return
-	}
 	maxID, _, _, _ := cpuidAsm(0, 0)
 	if maxID < 7 {
 		return
 	}
 	_, _, ecx1, _ := cpuidAsm(1, 0)
 	const (
-		fmaBit     = 1 << 12
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
-	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
+	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
 		return
 	}
 	xcr0, _ := xgetbvAsm()
@@ -44,64 +38,3 @@ func init() {
 // to keep float64 rounding identical to the scalar loop).
 // len(dst) must be a positive multiple of 8; len(src) >= len(dst).
 func daxpyAVX2(dst, src []float64, alpha float64)
-
-// saxpyAVX2 computes dst[j] += alpha*src[j] in float32 using FMA.
-// len(dst) must be a positive multiple of 8; len(src) >= len(dst).
-func saxpyAVX2(dst, src []float32, alpha float32)
-
-// sgemmRowJ32 computes drow[j] += Σ_k arow[k]*b[k*ldb+j] for a 32-column
-// tile held in four YMM accumulators across the whole k loop.
-// len(drow) must be exactly 32 and b must cover (len(arow)-1)*ldb+32.
-func sgemmRowJ32(drow, arow, b []float32, ldb int)
-
-// sgemmRowJ16 is the 16-column variant of sgemmRowJ32.
-func sgemmRowJ16(drow, arow, b []float32, ldb int)
-
-// sgemmRowJ8 is the 8-column variant of sgemmRowJ32.
-func sgemmRowJ8(drow, arow, b []float32, ldb int)
-
-// sgemmRows4J16 accumulates four output rows × 16 columns at once:
-// d[r*ldd+j] += Σ_k a[r*lda+k]*b[k*ldb+j] for r in 0..3, j in 0..15.
-// Eight register-resident accumulators; each k step loads the b tile
-// once and feeds four independent FMA chains, hiding the latency that
-// serializes the one-row kernels. d must cover 3*ldd+16 elements and a
-// must cover 3*lda+k.
-func sgemmRows4J16(d []float32, ldd int, a []float32, lda, k int, b []float32, ldb int)
-
-// sgemmRows4J8 is the 8-column variant of sgemmRows4J16.
-func sgemmRows4J8(d []float32, ldd int, a []float32, lda, k int, b []float32, ldb int)
-
-// sscal32AVX2 computes v[j] *= alpha 8-wide.
-// len(v) must be a positive multiple of 8.
-func sscal32AVX2(v []float32, alpha float32)
-
-// relu32AVX2 computes v[i] = max(v[i], 0) 8-wide (-0 maps to +0,
-// unlike the scalar branch; invisible downstream).
-// len(v) must be a positive multiple of 8.
-func relu32AVX2(v []float32)
-
-// exp32AVX2 computes v[i] = e^v[i] 8-wide with the same Cephes
-// reduction and polynomial as the scalar Exp32 (FMA and
-// round-to-nearest-even, so lanes may differ from Exp32 in the final
-// ulp; out-of-range and non-finite inputs clamp to [-87, 88]).
-// len(v) must be a positive multiple of 8.
-func exp32AVX2(v []float32)
-
-// tanh32AVX2 computes v[i] = tanh(v[i]) via e^{2v}; same caveats and
-// length contract as exp32AVX2.
-func tanh32AVX2(v []float32)
-
-// sigmoid32AVX2 computes v[i] = 1/(1+e^{-v[i]}); same caveats and
-// length contract as exp32AVX2.
-func sigmoid32AVX2(v []float32)
-
-// csrRowJ32 computes drow[j] += Σ_p w[p]*h[cols[p]*ldh+j] for a
-// 32-column tile held in registers across all nonzeros.
-// len(drow) must be exactly 32; len(w) >= len(cols).
-func csrRowJ32(drow []float32, cols []int32, w, h []float32, ldh int)
-
-// csrRowJ16 is the 16-column variant of csrRowJ32.
-func csrRowJ16(drow []float32, cols []int32, w, h []float32, ldh int)
-
-// csrRowJ8 is the 8-column variant of csrRowJ32.
-func csrRowJ8(drow []float32, cols []int32, w, h []float32, ldh int)

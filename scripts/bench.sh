@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Hot-path benchmark harness: runs the tape-vs-infer (float64 and
-# float32), batch-compile, audit, WAL-append and recovery-replay
-# benchmarks with allocation reporting and writes a JSON snapshot to
-# BENCH_infer.json (ns/op, B/op, allocs/op per benchmark). Then runs the
-# tensor kernel grid (matmul GFLOP/s per kernel tier and precision,
-# fused-vs-unfused CSR aggregate+transform, pool crossover, false
-# sharing) into BENCH_kernels.json, races the full-graph sweep against
+# Hot-path benchmark harness: runs the tape-vs-infer, batch-compile,
+# audit, WAL-append and recovery-replay benchmarks with allocation
+# reporting and writes a JSON snapshot to BENCH_infer.json (ns/op,
+# B/op, allocs/op per benchmark). Then runs the tensor kernel grid
+# (float64 matmul GFLOP/s per kernel tier, fused-vs-unfused CSR
+# aggregate+transform, pool crossover, false sharing) into
+# BENCH_kernels.json, races the full-graph sweep against
 # the naive score-everyone loop into BENCH_sweep.json, races the lambda
 # embedding tier against the per-audit inference paths (plus the
 # refresh-sweep cost at several dirty fractions) into BENCH_embed.json,
@@ -54,8 +54,8 @@ END {
 echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
 
 # --- Tensor kernel grid ------------------------------------------------------
-# GFLOP/s for every matmul kernel tier (serial naive, blocked, blocked +
-# worker pool; float64 and float32) plus the fused-vs-unfused CSR
+# GFLOP/s for every float64 matmul kernel tier (serial naive, blocked,
+# blocked + worker pool) plus the fused-vs-unfused CSR
 # aggregate+transform step and the pool-crossover / false-sharing
 # microbenchmarks behind the tuning constants in internal/tensor.
 KERNEL_OUT="BENCH_kernels.json"

@@ -20,6 +20,9 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== go vet (GOARCH=arm64: compiles the portable kernel stubs that amd64 never builds)"
+GOARCH=arm64 go vet ./...
+
 echo "== go test -race (behavior store / graph / bn / resilience / server incl. chaos + crash recovery / telemetry incl. trace ring + log-bucketed histogram / tape-free infer / persist / full-graph sweep / model lifecycle)"
 go test -race ./internal/behavior/... ./internal/graph/... ./internal/bn/... ./internal/resilience/... ./internal/server/... ./internal/telemetry/... ./internal/gnn/... ./internal/hag/... ./internal/persist/... ./internal/sweep/... ./internal/embed/... ./internal/feature/... ./internal/lifecycle/... ./internal/tensor/... ./internal/autodiff/...
 
@@ -29,8 +32,8 @@ go test -race -count 20 -run TestConcurrentMutationAndReads ./internal/graph/
 echo "== behavior-index equivalence smoke (hour-chunk scans vs brute-force filter-and-group; pinned BN edge hash over the tiny history)"
 go test -run 'TestHourIndexMatchesBruteForce|TestAdvanceHistoryEdgesPinned' ./internal/behavior/ ./internal/bn/
 
-echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar, fused aggregate+transform bitwise vs unfused, f32 within tolerance of f64)"
-go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestAggTransformFusedBitwise|TestAggTransformSplitFusedBitwise|TestInfer32MatchesFloat64|TestHAGInfer32MatchesFloat64' ./internal/tensor/ ./internal/autodiff/ ./internal/gnn/ ./internal/hag/
+echo "== kernel-equivalence smoke (blocked/SIMD matmul bitwise vs naive scalar, AVX2 daxpy bitwise vs scalar loop, fused aggregate+transform bitwise vs unfused)"
+go test -run 'TestMatMulBlockedBitwiseEqualsNaive|TestMatMulPartitionIndependence|TestDaxpyBitwiseEqualsScalar|TestAggTransformFusedBitwise|TestAggTransformSplitFusedBitwise' ./internal/tensor/ ./internal/autodiff/
 
 echo "== go test -race (open-loop loadgen + streaming datagen; -short skips the 1M-user memory ceiling, which full tier-1 covers)"
 go test -race -short ./internal/loadgen/ ./internal/datagen/
